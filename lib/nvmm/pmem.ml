@@ -5,15 +5,21 @@ let line_size = 64
 (* Per-line persistence bookkeeping, present only while the line has
    unpersisted state. [persisted] is the content that survives a crash
    with certainty. [snapshots] records the line content after each store
-   since [persisted], oldest first, so a crash may legally surface any
-   prefix of the store sequence. [queued] is the content captured by the
-   most recent clwb (plus how many snapshots existed at capture time),
-   which becomes [persisted] at the next fence. *)
+   since [persisted], newest first ([n_snapshots] of them), so a crash
+   may legally surface any prefix of the store sequence. [queued] is the
+   content captured by the most recent clwb ([no_capture] if none) and
+   [queued_at] how many snapshots existed at capture time; the capture
+   becomes [persisted] at the next fence. Captured and snapshot bytes
+   are never mutated, so a capture may share its snapshot's buffer. *)
 type line_state = {
   mutable persisted : bytes;
-  mutable snapshots : bytes list; (* oldest first *)
-  mutable queued : (bytes * int) option;
+  mutable snapshots : bytes list; (* newest first *)
+  mutable n_snapshots : int;
+  mutable queued : bytes;
+  mutable queued_at : int;
 }
+
+let no_capture = Bytes.create 0
 
 (* Media-fault bookkeeping. All fields stay at their zero state unless a
    fault-injection entry point was called, so fault-free runs (including
@@ -95,6 +101,17 @@ let copy_line t li =
   Bytes.blit t.data (li * line_size) b 0 line_size;
   b
 
+(* Whether [b] holds exactly line [li]'s current content (no copy). *)
+let line_equals t li b =
+  let base = li * line_size and i = ref 0 in
+  while
+    !i < line_size
+    && Int64.equal (Bytes.get_int64_ne b !i) (Bytes.get_int64_ne t.data (base + !i))
+  do
+    i := !i + 8
+  done;
+  !i >= line_size
+
 (* Record that bytes [off, off+len) were just stored. Must be called
    after the volatile view was updated. In Fast mode this is free. *)
 let note_store t ~off ~len =
@@ -104,7 +121,9 @@ let note_store t ~off ~len =
       (* [pre_store] has already captured the pre-store baseline, so the
          state must exist; append the after-store snapshot. *)
       match t.line_states.(li) with
-      | Some st -> st.snapshots <- st.snapshots @ [ copy_line t li ]
+      | Some st ->
+          st.snapshots <- copy_line t li :: st.snapshots;
+          st.n_snapshots <- st.n_snapshots + 1
       | None -> assert false
     done
   end
@@ -133,7 +152,14 @@ let pre_store t ~off ~len =
       | Some _ -> ()
       | None ->
           t.line_states.(li) <-
-            Some { persisted = copy_line t li; snapshots = []; queued = None };
+            Some
+              {
+                persisted = copy_line t li;
+                snapshots = [];
+                n_snapshots = 0;
+                queued = no_capture;
+                queued_at = 0;
+              };
           if Array.length t.stripe_dirty = 0 then begin
             t.dirty_lines <- li :: t.dirty_lines;
             t.n_dirty <- t.n_dirty + 1
@@ -218,6 +244,10 @@ let read_bytes t ~off ~len =
   if !checks then check_bounds t off len;
   Bytes.sub t.data off len
 
+let crc32c t ~off ~len =
+  check_bounds t off len;
+  Nv_util.Crc32c.bytes t.data off len
+
 let blit_to t ~src ~src_off ~dst_off ~len =
   if !checks then check_bounds t dst_off len;
   pre_store t ~off:dst_off ~len;
@@ -245,7 +275,14 @@ let flush ?(charge = true) t stats ~off ~len =
       if t.mode = Crash_safe then
         match t.line_states.(li) with
         | None -> () (* clean line: clwb is a no-op *)
-        | Some st -> st.queued <- Some (copy_line t li, List.length st.snapshots)
+        | Some st ->
+            (* The newest snapshot already holds the line unless the view
+               changed behind the tracking (fault injection); share it. *)
+            st.queued <-
+              (match st.snapshots with
+              | newest :: _ when line_equals t li newest -> newest
+              | _ -> copy_line t li);
+            st.queued_at <- st.n_snapshots
     done
   end
 
@@ -258,27 +295,27 @@ let fence t stats =
         match t.line_states.(li) with
         | None -> ()
         | Some st ->
-            (match st.queued with
-            | None ->
+            if st.queued == no_capture then begin
+              still := li :: !still;
+              incr n
+            end
+            else begin
+              st.persisted <- st.queued;
+              st.queued <- no_capture;
+              (* Drop snapshots that predate the captured content: they
+                 can no longer be crash states because something newer
+                 is guaranteed durable. *)
+              let keep = st.n_snapshots - st.queued_at in
+              st.snapshots <-
+                (if keep <= 0 then [] else List.filteri (fun i _ -> i < keep) st.snapshots);
+              st.n_snapshots <- max 0 keep;
+              if st.n_snapshots = 0 && line_equals t li st.persisted then
+                t.line_states.(li) <- None
+              else begin
                 still := li :: !still;
                 incr n
-            | Some (content, n_at_capture) ->
-                st.persisted <- content;
-                st.queued <- None;
-                (* Drop snapshots that predate the captured content: they
-                   can no longer be crash states because something newer
-                   is guaranteed durable. *)
-                let total = List.length st.snapshots in
-                let keep = total - n_at_capture in
-                st.snapshots <-
-                  (if keep <= 0 then []
-                   else List.filteri (fun i _ -> i >= n_at_capture) st.snapshots);
-                if st.snapshots = [] && Bytes.equal st.persisted (copy_line t li) then
-                  t.line_states.(li) <- None
-                else begin
-                  still := li :: !still;
-                  incr n
-                end))
+              end
+            end)
       t.dirty_lines;
     t.dirty_lines <- !still;
     t.n_dirty <- !n
@@ -306,7 +343,7 @@ let charge_seq_write _t stats ~bytes = Stats.nvmm_seq_write stats ~bytes
 let apply_crash_choice t li st idx =
   let content =
     if idx = 0 then st.persisted
-    else List.nth st.snapshots (idx - 1)
+    else List.nth st.snapshots (st.n_snapshots - idx)
   in
   Bytes.blit content 0 t.data (li * line_size) line_size
 
@@ -339,7 +376,7 @@ let crash_with t ~choose =
      sequence regardless of store order. *)
   List.iter
     (fun (li, st) ->
-      let options = 1 + List.length st.snapshots in
+      let options = 1 + st.n_snapshots in
       let idx = choose ~line:li ~options in
       assert (idx >= 0 && idx < options);
       apply_crash_choice t li st idx)
@@ -365,7 +402,7 @@ let crash_all_persisted t = crash_with t ~choose:(fun ~line:_ ~options -> option
    atomicity of real hardware, so single-word structures survive whole
    while anything larger can surface impossible mixes. *)
 let torn_mix t rng li st =
-  let states = Array.of_list (st.persisted :: st.snapshots) in
+  let states = Array.of_list (st.persisted :: List.rev st.snapshots) in
   let line = Bytes.create line_size in
   for w = 0 to (line_size / 8) - 1 do
     let src = states.(Nv_util.Rng.int rng (Array.length states)) in
@@ -424,7 +461,7 @@ let crash_with_faults t ~rng ~model =
   let torn = ref 0 in
   List.iter
     (fun (li, st) ->
-      let options = 1 + List.length st.snapshots in
+      let options = 1 + st.n_snapshots in
       if options > 1 && Nv_util.Rng.float rng < model.torn_frac then begin
         incr torn;
         torn_mix t rng li st

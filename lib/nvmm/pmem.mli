@@ -57,6 +57,14 @@ val set_i32 : t -> int -> int32 -> unit
 val get_u8 : t -> int -> int
 val set_u8 : t -> int -> int -> unit
 val read_bytes : t -> off:int -> len:int -> bytes
+
+val crc32c : t -> off:int -> len:int -> int32
+(** CRC-32C of a byte range of the volatile view, computed in place:
+    the same value as [Crc32c.bytes (read_bytes t ~off ~len) 0 len]
+    without the copy. Host-side and uncharged, like every checksum
+    (docs/FAULTS.md). Always bounds-checked, whatever {!set_checks}
+    says: callers rely on [Invalid_argument] for a corrupt range. *)
+
 val write_bytes : t -> off:int -> bytes -> unit
 val blit_to : t -> src:bytes -> src_off:int -> dst_off:int -> len:int -> unit
 val blit_from : t -> src_off:int -> dst:bytes -> dst_off:int -> len:int -> unit

@@ -6,13 +6,18 @@
     and is never charged to the simulated clock. *)
 
 val init : unit -> int32
+
 val update : int32 -> bytes -> int -> int -> int32
+(** [update crc buf off len] folds [len] bytes of [buf] from [off].
+    Allocation-free slicing-by-8.
+    @raise Invalid_argument if the range is not within [buf]. *)
+
 val int64 : int32 -> int64 -> int32
 val int32 : int32 -> int32 -> int32
 val finish : int32 -> int32
 
 val bytes : bytes -> int -> int -> int32
-(** One-shot checksum of a byte range. *)
+(** One-shot checksum of a byte range (same range check as [update]). *)
 
 val string : string -> int32
 (** [string "123456789" = 0xE3069283l]. *)

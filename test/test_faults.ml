@@ -28,6 +28,136 @@ let test_crc32c_vectors () =
   let inc = Crc.finish (Crc.int64 (Crc.init ()) 0x1122334455667788L) in
   Alcotest.(check int32) "incremental int64" one inc
 
+(* The classic byte-at-a-time table loop, kept here only as the
+   reference the slicing-by-8 kernel must agree with bit for bit. *)
+module Crc_reference = struct
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref (Int32.of_int n) in
+        for _ = 0 to 7 do
+          c :=
+            if Int32.logand !c 1l <> 0l then
+              Int32.logxor (Int32.shift_right_logical !c 1) 0x82F63B78l
+            else Int32.shift_right_logical !c 1
+        done;
+        !c)
+
+  let update_byte crc b =
+    let idx = Int32.to_int (Int32.logand (Int32.logxor crc (Int32.of_int b)) 0xFFl) in
+    Int32.logxor table.(idx) (Int32.shift_right_logical crc 8)
+
+  let update crc buf off len =
+    let c = ref crc in
+    for i = off to off + len - 1 do
+      c := update_byte !c (Char.code (Bytes.get buf i))
+    done;
+    !c
+
+  let bytes buf off len = Int32.logxor (update 0xFFFFFFFFl buf off len) 0xFFFFFFFFl
+
+  let int64 crc v =
+    let c = ref crc in
+    for i = 0 to 7 do
+      c := update_byte !c (Int64.to_int (Int64.shift_right_logical v (i * 8)) land 0xff)
+    done;
+    !c
+
+  let int32 crc v =
+    let c = ref crc in
+    for i = 0 to 3 do
+      c := update_byte !c (Int32.to_int (Int32.shift_right_logical v (i * 8)) land 0xff)
+    done;
+    !c
+end
+
+let random_bytes rng n = Bytes.init n (fun _ -> Char.chr (Rng.int rng 256))
+
+let test_crc32c_matches_reference () =
+  let rng = Rng.create 13 in
+  let buf = random_bytes rng 80 in
+  for off = 0 to 7 do
+    for len = 0 to 64 do
+      Alcotest.(check int32)
+        (Printf.sprintf "bytes off=%d len=%d" off len)
+        (Crc_reference.bytes buf off len) (Crc.bytes buf off len)
+    done
+  done;
+  for i = 1 to 20 do
+    let n = 1024 + Rng.int rng 3073 in
+    let b = random_bytes rng n in
+    Alcotest.(check int32) (Printf.sprintf "random buffer %d (%d B)" i n)
+      (Crc_reference.bytes b 0 n) (Crc.bytes b 0 n);
+    (* Chained [update]s over arbitrary split points equal one pass. *)
+    let c = ref (Crc.init ()) and pos = ref 0 in
+    while !pos < n do
+      let len = min (n - !pos) (Rng.int rng 40) in
+      c := Crc.update !c b !pos len;
+      pos := !pos + len
+    done;
+    Alcotest.(check int32) (Printf.sprintf "chained update %d" i)
+      (Crc_reference.bytes b 0 n) (Crc.finish !c)
+  done;
+  let words =
+    [ 0L; 1L; -1L; Int64.min_int; Int64.max_int; 0x1122334455667788L; 0xFFFFFFFF00000000L ]
+    @ List.init 50 (fun _ -> Rng.next_int64 rng)
+  in
+  List.iter
+    (fun v ->
+      let seed = Int64.to_int32 (Int64.shift_right_logical v 17) in
+      let tag = Printf.sprintf "%Lx" v in
+      Alcotest.(check int32) ("int64 " ^ tag) (Crc_reference.int64 seed v) (Crc.int64 seed v);
+      Alcotest.(check int32) ("int32 " ^ tag)
+        (Crc_reference.int32 seed (Int64.to_int32 v))
+        (Crc.int32 seed (Int64.to_int32 v));
+      Alcotest.(check int32) ("int64_crc " ^ tag)
+        (Int32.logxor (Crc_reference.int64 0xFFFFFFFFl v) 0xFFFFFFFFl)
+        (Crc.int64_crc v))
+    words;
+  Alcotest.(check int32) "check value" 0xE3069283l (Crc.string "123456789")
+
+let test_crc32c_rejects_bad_range () =
+  let b = Bytes.make 16 'x' in
+  let rejects what off len =
+    match Crc.bytes b off len with
+    | _ -> Alcotest.failf "%s: range accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "negative offset" (-1) 4;
+  rejects "negative length" 0 (-1);
+  rejects "past the end" 10 7;
+  rejects "offset past the end" 17 0;
+  rejects "overflowing length" 8 max_int;
+  Alcotest.(check int32) "empty range at the end" 0l (Crc.bytes b 16 0)
+
+let test_pmem_crc_in_place () =
+  let p = Pmem.create ~size:4096 () in
+  Pmem.write_bytes p ~off:0 (random_bytes (Rng.create 5) 4096);
+  List.iter
+    (fun (off, len) ->
+      Alcotest.(check int32)
+        (Printf.sprintf "range [%d, +%d)" off len)
+        (Crc.bytes (Pmem.read_bytes p ~off ~len) 0 len)
+        (Pmem.crc32c p ~off ~len))
+    [ (0, 4096); (0, 0); (3, 1000); (4095, 1); (1000, 17) ];
+  (* Bounds are checked even with the accessor checks switched off. *)
+  let saved = Pmem.checks_enabled () in
+  Pmem.set_checks false;
+  Fun.protect
+    ~finally:(fun () -> Pmem.set_checks saved)
+    (fun () ->
+      match Pmem.crc32c p ~off:4000 ~len:200 with
+      | _ -> Alcotest.fail "out-of-range crc accepted"
+      | exception Invalid_argument _ -> ())
+
+(* FNV values are part of every digest the goldens pin. *)
+let test_fnv_pinned () =
+  let module Fnv = Nv_util.Fnv in
+  Alcotest.(check int) "empty string" 0x25f94e7242111192 (Fnv.hash_string "");
+  Alcotest.(check int) "committed-state" 0x2eabc0c80ab1bac0 (Fnv.hash_string "committed-state");
+  Alcotest.(check int) "int64 0" 0x1463fc19140d1ce2 (Fnv.hash_int64 0L);
+  Alcotest.(check int) "int64 -1" 0x067a8d45fe51c41e (Fnv.hash_int64 (-1L));
+  Alcotest.(check int) "int 12345" 0x338f58c2f176e626 (Fnv.hash_int 12345)
+
 let test_packed_words () =
   let w = Crc.pack ~salt:0x31 77L in
   Alcotest.(check (option int64)) "roundtrip" (Some 77L) (Crc.unpack ~salt:0x31 w);
@@ -410,6 +540,11 @@ let suites =
     ( "faults",
       [
         Alcotest.test_case "crc32c vectors" `Quick test_crc32c_vectors;
+        Alcotest.test_case "crc32c matches byte-at-a-time reference" `Quick
+          test_crc32c_matches_reference;
+        Alcotest.test_case "crc32c rejects out-of-range" `Quick test_crc32c_rejects_bad_range;
+        Alcotest.test_case "pmem crc32c in place" `Quick test_pmem_crc_in_place;
+        Alcotest.test_case "fnv pinned values" `Quick test_fnv_pinned;
         Alcotest.test_case "packed self-checking words" `Quick test_packed_words;
         Alcotest.test_case "torn lines" `Quick test_torn_lines;
         Alcotest.test_case "bit rot" `Quick test_bit_rot;

@@ -560,6 +560,41 @@ let test_histogram_merge () =
   Alcotest.(check int) "left input untouched" 3 (Histogram.count a);
   Alcotest.(check int) "right input untouched" 2 (Histogram.count b)
 
+(* Allocation budget of the paper's write path: a crash-safe engine on
+   the default YCSB shape (1000 B values, 10 ops per txn) at jobs=1.
+   Checksumming each persistent version with a boxed per-byte loop cost
+   ~67k minor words per committed txn; the allocation-free kernel runs
+   the whole batch in under 10k. The ceiling sits well above today's
+   figure and far below the old one, so a per-byte boxed loop (or a
+   per-write copy of every value) on this path fails here. *)
+let minor_words_ceiling_per_txn = 20_000.
+
+let test_minor_words_budget () =
+  with_jobs 1 (fun () ->
+      let w = Ycsb.make Ycsb.default in
+      let setup = Runner.setup ~epoch_txns:64 () in
+      let spec = Engine.spec ~crash_safe:true (Engine.Caracal Config.Nvcaracal) in
+      let (Engine_intf.Packed ((module E), db)) = Engine.instantiate spec setup w in
+      E.bulk_load db (w.W.load ());
+      let rng = Nv_util.Rng.create setup.Runner.seed in
+      let batches = Array.init 5 (fun _ -> w.W.gen_batch rng setup.Runner.epoch_txns) in
+      let words = ref 0. and committed = ref 0 in
+      Array.iteri
+        (fun i batch ->
+          let before = Stdlib.Gc.minor_words () in
+          ignore (E.run_batch db batch);
+          (* The first batch warms up per-engine buffers. *)
+          if i > 0 then begin
+            words := !words +. (Stdlib.Gc.minor_words () -. before);
+            Array.iter (fun o -> if o = `Committed then incr committed) (E.last_batch_outcomes db)
+          end)
+        batches;
+      let per_txn = !words /. float_of_int !committed in
+      Alcotest.(check bool) "transactions committed" true (!committed > 0);
+      if per_txn > minor_words_ceiling_per_txn then
+        Alcotest.failf "%.0f minor words per committed txn (ceiling %.0f)" per_txn
+          minor_words_ceiling_per_txn)
+
 let suites =
   [
     ( "parallel",
@@ -584,5 +619,10 @@ let suites =
           test_deletes_shape;
         Alcotest.test_case "epoch-stats merge algebra" `Quick test_epoch_stats_merge;
         Alcotest.test_case "histogram merge algebra" `Quick test_histogram_merge;
+      ] );
+    ( "alloc",
+      [
+        Alcotest.test_case "crash-safe ycsb stays under the minor-words budget" `Quick
+          test_minor_words_budget;
       ] );
   ]
